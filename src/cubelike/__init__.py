@@ -13,8 +13,6 @@ from .boolean_domain import (
     DENSE_DIMENSION_LIMIT,
     MAX_DIMENSION,
     GroupElement,
-    HadamardEntry,
-    hadamard_entry,
     hadamard_sign,
     parity_inner,
     sign_matrix,
@@ -85,13 +83,11 @@ __all__ = [
     "OverflowGuardError",
     "VerificationError",
     "GroupElement",
-    "HadamardEntry",
     "MAX_DIMENSION",
     "DENSE_DIMENSION_LIMIT",
     "parity_inner",
     "xor",
     "hadamard_sign",
-    "hadamard_entry",
     "sign_matrix",
     "WeightVector",
     "Spectrum",

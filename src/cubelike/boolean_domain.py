@@ -9,7 +9,6 @@ orthogonal matrix that diagonalizes every XOR-circulant adjacency matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,23 +87,6 @@ def xor(a: GroupElement, b: GroupElement) -> GroupElement:
 def hadamard_sign(i: GroupElement, j: GroupElement) -> int:
     """The sign (-1)**parity_inner(i, j); entries of the unnormalized Walsh matrix."""
     return 1 - 2 * parity_inner(i, j)
-
-
-@dataclass(frozen=True)
-class HadamardEntry:
-    """One entry of the normalized Walsh-Hadamard basis: sign / sqrt(n)."""
-
-    sign: int
-    scale: float
-
-    @property
-    def value(self) -> float:
-        return self.sign * self.scale
-
-
-def hadamard_entry(i: GroupElement, j: GroupElement) -> HadamardEntry:
-    d = _same_dimension(i, j)
-    return HadamardEntry(hadamard_sign(i, j), 1.0 / math.sqrt(1 << d))
 
 
 def sign_matrix(d: int) -> np.ndarray:

@@ -12,7 +12,8 @@ Input is a JSON document {"d": int, "z": [numbers], "time": optional}
 from --input FILE (or stdin), or a comma-separated list via --weights.
 Human-readable output labels vertices 1-based, JSON output 0-based;
 --one-based/--zero-based override either. Exit codes: 0 success,
-1 verification or classification failure, 2 usage error.
+1 verification or classification failure (pst, verify and table only),
+2 usage or input error.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .walk_oracle import (
 )
 
 DOT_DIMENSION_LIMIT = 8
+# Only these commands classify; a domain error anywhere else is an input error.
+_CLASSIFYING_COMMANDS = ("pst", "verify")
 
 
 class UsageError(CubelikeError):
@@ -119,7 +122,7 @@ def _parse_csv_weights(text: str) -> list:
     return out
 
 
-def _load_input(args) -> tuple[list, int | None, float | None]:
+def _load_input(args) -> tuple[list, int | None, int | float | None]:
     """Resolve (z, d, time) from --weights, --input, or stdin JSON."""
     if args.weights is not None and args.input is not None:
         raise UsageError("give either --input or --weights, not both")
@@ -146,9 +149,20 @@ def _load_input(args) -> tuple[list, int | None, float | None]:
     if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
         raise UsageError('"d" must be an integer')
     time = data.get("time")
-    if time is not None and not isinstance(time, (int, float)):
+    if time is not None and (isinstance(time, bool) or not isinstance(time, (int, float))):
         raise UsageError('"time" must be a number')
-    return z, d, None if time is None else float(time)
+    return z, d, time
+
+
+def _finite_time(value) -> float:
+    """The walk time as a float; NaN, infinities and huge integers are usage errors."""
+    try:
+        time = float(value)
+    except OverflowError as exc:
+        raise UsageError("time must be a finite number") from exc
+    if not math.isfinite(time):
+        raise UsageError(f"time must be a finite number, got {time!r}")
+    return time
 
 
 def _parse_pairs(raw: list[str]) -> tuple[tuple[int, int], ...]:
@@ -178,7 +192,7 @@ def job_from_args(args) -> JobSpec:
         command=args.command,
         z=z,
         d=d,
-        time=time,
+        time=_finite_time(time),
         json_output=args.json,
         one_based=one_based,
         pairs=_parse_pairs(getattr(args, "pair", [])),
@@ -499,6 +513,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ParityError, ConsistencyError) as exc:
+        if args.command not in _CLASSIFYING_COMMANDS:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"classification failed: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

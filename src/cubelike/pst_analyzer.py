@@ -7,8 +7,8 @@ set exactly when half the difference between the eigenvalue at character
 index 2**j and the eigenvalue at index 0 is odd. A nonzero sigma splits
 the vertex set into n/2 transfer pairs {u, u ^ sigma}; sigma = 0 means
 every vertex returns to itself. The same offset is also computed directly
-from the weights (bit j is the parity of the sum of z over indices with
-bit j set), and classify cross-checks the two routes.
+from the weights (it is the XOR of the indices l where z[l] is odd), and
+classify cross-checks the two routes.
 """
 
 from __future__ import annotations
@@ -99,10 +99,8 @@ def sigma_from_spectrum(spectrum) -> GroupElement:
             "not the spectrum of an integer weight vector"
         )
     half_odd = (diffs >> 1) & 1
-    sigma = 0
-    for j in range(spec.d):
-        if half_odd[1 << j]:
-            sigma |= 1 << j
+    powers = np.int64(1) << np.arange(spec.d, dtype=np.int64)
+    sigma = int(half_odd[powers] @ powers)
     idx = np.arange(spec.n, dtype=np.int64)
     wanted = np.bitwise_count(np.bitwise_and(idx, sigma)).astype(np.int64) & 1
     bad = half_odd != wanted
@@ -120,18 +118,14 @@ def sigma_from_weights(z) -> GroupElement:
     """Transfer offset straight from the weights, no transform needed.
 
     Bit j of sigma is the parity of the sum of z[l] over indices l whose
-    bit j is set. Agrees with sigma_from_spectrum(fwht(z)) for every
-    integer weight vector.
+    bit j is set, so sigma is the XOR of the indices l where z[l] is odd.
+    Agrees with sigma_from_spectrum(fwht(z)) for every integer weight
+    vector.
     """
     wv = as_weight_vector(z)
     if not wv.integral:
         raise DomainError("transfer offset needs integer weights")
-    parities = (wv.values & 1).astype(np.int64)
-    idx = np.arange(wv.n, dtype=np.int64)
-    sigma = 0
-    for j in range(wv.d):
-        if int(parities[(idx & (1 << j)) != 0].sum()) & 1:
-            sigma |= 1 << j
+    sigma = int(np.bitwise_xor.reduce(np.flatnonzero(wv.values & 1)))
     return GroupElement(sigma, wv.d)
 
 

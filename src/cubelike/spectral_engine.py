@@ -186,7 +186,12 @@ def fwht(values) -> np.ndarray:
     work, integral = _normalize_real_vector(arr, "fwht input")
     if integral:
         _guard_accumulation(work, "entry")
-    return _transform_last_axis(np.ascontiguousarray(work))
+        return _transform_last_axis(np.ascontiguousarray(work))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _transform_last_axis(np.ascontiguousarray(work))
+    if not np.isfinite(out).all():
+        raise OverflowGuardError("float transform overflowed the float64 range")
+    return out
 
 
 def eigenvalues_from_weights(z) -> Spectrum:
@@ -195,46 +200,51 @@ def eigenvalues_from_weights(z) -> Spectrum:
     return Spectrum.from_values(fwht(wv.values))
 
 
+def xor_circulant(kernel: np.ndarray) -> np.ndarray:
+    """Read-only dense matrix M[i][j] = kernel[i ^ j] (limited to d <= 13).
+
+    Every adjacency matrix and every walk U(t) of a cubelike graph has
+    this form, so a length-n kernel describes each one completely; this is
+    the one place where such a kernel becomes an n x n array.
+    """
+    n = kernel.shape[0]
+    check_dimension(n.bit_length() - 1, DENSE_DIMENSION_LIMIT)
+    idx = np.arange(n, dtype=np.int32)
+    m = kernel[np.bitwise_xor.outer(idx, idx)]
+    m.flags.writeable = False
+    return m
+
+
 def adjacency_from_weights(z) -> WeightedGraph:
     """Dense adjacency matrix A[i][j] = z[i ^ j] (limited to d <= 13)."""
     wv = as_weight_vector(z)
-    check_dimension(wv.d, DENSE_DIMENSION_LIMIT)
-    n = wv.n
-    idx = np.arange(n)
-    a = np.empty((n, n), dtype=wv.values.dtype)
-    for i in range(n):
-        a[i] = wv.values[np.bitwise_xor(i, idx)]
-    a.flags.writeable = False
-    return WeightedGraph(d=wv.d, matrix=a)
+    return WeightedGraph(d=wv.d, matrix=xor_circulant(wv.values))
 
 
 def weights_from_adjacency(a) -> WeightVector:
     """Invert adjacency_from_weights: read z off the first row.
 
-    The matrix must satisfy a[i][j] == a[0][i ^ j] for all i, j, which is
-    checked row by row (this also forces symmetry). Integer matrices are
-    compared exactly, real ones within CIRCULANT_TOL.
+    The matrix must satisfy a[i][j] == a[0][i ^ j] for all i, j (this also
+    forces symmetry); the first violation in row-major order is reported.
+    Integer matrices are compared exactly, real ones within CIRCULANT_TOL.
     """
     mat = a.matrix if isinstance(a, WeightedGraph) else np.asarray(a)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"adjacency must be square, got shape {mat.shape}")
     n = mat.shape[0]
     _power_of_two_dimension(n, "adjacency")
-    idx = np.arange(n)
-    exact = np.issubdtype(mat.dtype, np.integer) or mat.dtype == bool
     first_row = mat[0]
-    for i in range(n):
-        expected = first_row[np.bitwise_xor(i, idx)]
-        if exact:
-            bad = mat[i] != expected
-        else:
-            bad = np.abs(mat[i] - expected) > CIRCULANT_TOL
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise StructureError(
-                f"matrix is not XOR-circulant at entry ({i}, {j}): "
-                f"a[{i}][{j}] = {mat[i, j]} but a[0][{i ^ j}] = {first_row[i ^ j]}"
-            )
+    expected = xor_circulant(first_row)
+    if np.issubdtype(mat.dtype, np.integer) or mat.dtype == bool:
+        bad = mat != expected
+    else:
+        bad = np.abs(mat - expected) > CIRCULANT_TOL
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        raise StructureError(
+            f"matrix is not XOR-circulant at entry ({i}, {j}): "
+            f"a[{i}][{j}] = {mat[i, j]} but a[0][{i ^ j}] = {first_row[i ^ j]}"
+        )
     return WeightVector.from_values(np.array(first_row, copy=True))
 
 

@@ -1,13 +1,15 @@
 """Transition matrices of the continuous-time walk, by two independent routes.
 
-transition_spectral evaluates U(t) = exp(i t A) through the eigenbasis:
-two fast transforms around a diagonal of eigenvalue phases, O(n^2 log n)
-for the full matrix. transition_taylor evaluates the same exponential by
-scaling-and-squaring a truncated series and deliberately shares no kernels
-with the spectral route, so the two can cross-check each other. At the
-critical time t = pi/2 with integer eigenvalues the spectral phases are
-reduced mod 4 and taken from {1, i, -1, -i} exactly, which removes all
-trigonometric rounding from the transfer entries.
+transition_spectral evaluates U(t) = exp(i t A) through the eigenbasis.
+Like A, U(t) is XOR-circulant, U[u][v] = g[u ^ v], and its kernel
+g = fwht(exp(i t lambda)) / n costs one length-n transform, O(n log n),
+plus the n^2 gather that spreads g into the dense matrix.
+transition_taylor evaluates the same exponential by scaling-and-squaring
+a truncated series of dense matrix products and deliberately shares no
+transform with the spectral route, so the two can cross-check each
+other. At the critical time t = pi/2 with integer eigenvalues the
+spectral phases are reduced mod 4 and taken from {1, i, -1, -i} exactly,
+which removes all trigonometric rounding from the transfer entries.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .spectral_engine import (
     adjacency_from_weights,
     as_weight_vector,
     fwht,
+    xor_circulant,
 )
 
-SPECTRAL_DIMENSION_LIMIT = 13
 SERIES_DIMENSION_LIMIT = 10
 SERIES_SIZE_LIMIT = 1 << SERIES_DIMENSION_LIMIT
 
@@ -60,15 +62,12 @@ class TransitionMatrix:
 def transition_spectral(z, t: float) -> TransitionMatrix:
     """U(t) through the shared eigenbasis of all cubelike adjacencies.
 
-    U[u][v] = (1/n) * sum_k sign(u,k) sign(v,k) exp(i t lambda[k]) with
-    lambda = fwht(z); evaluated as transform(diag(phases))/n along both
-    axes. Limited to d <= SPECTRAL_DIMENSION_LIMIT (dense output).
+    U[u][v] = g[u ^ v] with kernel g = fwht(exp(i t lambda)) / n and
+    lambda = fwht(z): two length-n transforms, O(n log n), then an n^2
+    gather into the dense matrix, which is symmetric by construction.
+    Limited to d <= 13 (dense output).
     """
     wv = as_weight_vector(z)
-    if wv.d > SPECTRAL_DIMENSION_LIMIT:
-        raise ResourceLimitError(
-            f"dense transition matrix limited to d <= {SPECTRAL_DIMENSION_LIMIT}, got {wv.d}"
-        )
     t = float(t)
     if not math.isfinite(t):
         raise DomainError("time must be finite")
@@ -77,16 +76,8 @@ def transition_spectral(z, t: float) -> TransitionMatrix:
         phases = _QUARTER_TURNS[np.mod(lam, 4)]
     else:
         phases = np.exp(1j * t * lam.astype(np.float64))
-    n = wv.n
-    work = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(work, phases)
-    work = _transform_last_axis(work)
-    work = np.ascontiguousarray(work.T)
-    work = _transform_last_axis(work)
-    u = work / n
-    u = 0.5 * (u + u.T)  # exact symmetry, so fidelity(u,v) == fidelity(v,u)
-    u.flags.writeable = False
-    return TransitionMatrix(time=t, matrix=u)
+    kernel = _transform_last_axis(phases) / wv.n
+    return TransitionMatrix(time=t, matrix=xor_circulant(kernel))
 
 
 def transition_taylor(a, t: float) -> TransitionMatrix:

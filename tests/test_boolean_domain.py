@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cubelike.boolean_domain import (
     GroupElement,
-    hadamard_entry,
     hadamard_sign,
     parity_inner,
     sign_matrix,
@@ -142,13 +141,6 @@ def test_group_element_rejects_bad_dimension():
 def test_group_element_bitstring_display():
     assert GroupElement(3, 3).bitstring == "011"
     assert GroupElement(5, 3).bitstring == "101"
-
-
-def test_hadamard_entry_value():
-    entry = hadamard_entry(GroupElement(1, 2), GroupElement(3, 2))
-    assert entry.sign == -1
-    assert entry.scale == pytest.approx(0.5)
-    assert entry.value == pytest.approx(-0.5)
 
 
 def test_sign_matrix_dimension_cap():

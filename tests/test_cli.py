@@ -107,6 +107,15 @@ def test_eigs_trivial_single_edge_dimension(capsys):
     assert out.strip() == "eigenvalues: [0, 0]"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigs_float_overflow_is_input_error(capsys):
+    code, out, err = invoke(capsys, "eigs", "--weights", "1e308,1e308,0.5,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflow" in err
+    assert "classification failed" not in err
+
+
 def test_eigs_float_weights(capsys):
     code, out, _ = invoke(capsys, "eigs", "--weights", "0,0.5,0.5,0", "--json")
     assert code == 0
@@ -316,3 +325,34 @@ def test_time_from_json_document(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["fidelities"][0]["modulus"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_time_flag_is_usage_error(capsys, value):
+    code, out, err = invoke(
+        capsys, "simulate", "--weights", "0,1,1,0", "--pair", "1,4", f"--time={value}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="huge-int")]
+)
+def test_non_finite_time_in_json_is_usage_error(capsys, tmp_path, value):
+    doc = tmp_path / "job.json"
+    doc.write_text('{"z": [0, 1, 1, 0], "time": %s}' % value)
+    code, out, err = invoke(capsys, "simulate", "--input", str(doc), "--pair", "1,4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_boolean_time_in_json_is_usage_error(capsys, tmp_path):
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({"z": [0, 1, 1, 0], "time": True}))
+    code, out, err = invoke(capsys, "simulate", "--input", str(doc), "--pair", "1,4")
+    assert code == 2
+    assert out == ""
+    assert '"time" must be a number' in err

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +180,19 @@ def test_classify_sigma_unique_exhaustive():
             if np.array_equal(np.bitwise_count(idx & s) & 1, half_odd)
         ]
         assert matches == [classify(z).sigma.bits]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unweighted_theorem_exhaustive(d):
+    # Cheung & Godsil (2011): Cay(Z_2^d, C) has PST at pi/2 exactly when the
+    # XOR of the connection set C is nonzero, and sigma is that XOR.
+    n = 1 << d
+    for mask in range(1 << n):
+        z = [(mask >> l) & 1 for l in range(n)]
+        connection_xor = functools.reduce(operator.xor, (l for l in range(n) if z[l]), 0)
+        result = classify(z)
+        assert result.sigma.bits == connection_xor
+        assert (result.kind is TransferKind.PERIODIC) == (connection_xor == 0)
 
 
 def test_classify_fidelity_witness_sample():

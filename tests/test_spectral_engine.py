@@ -104,6 +104,14 @@ def test_fwht_overflow_guard_fails_loudly():
         fwht([too_big, 0, 0, 0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fwht_float_overflow_fails_loudly():
+    with pytest.raises(OverflowGuardError):
+        fwht([1e308, 1e308, 0.5, 0.0])
+    with pytest.raises(OverflowGuardError):
+        fwht([1e308, -1e308, 1e308, 1e308])  # inf - inf on the way
+
+
 def test_fwht_rejects_complex():
     with pytest.raises(DomainError):
         fwht(np.array([1j, 0]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubelike.boolean_domain import GroupElement
+from cubelike.boolean_domain import GroupElement, sign_matrix
 from cubelike.exceptions import (
     DomainError,
     ResourceLimitError,
@@ -57,6 +57,21 @@ def test_spectral_single_edge_matches_closed_form():
     assert np.abs(u.matrix - expected).max() <= 1e-12
     assert abs(u.matrix[0, 0]) <= 1e-12
     assert abs(abs(u.matrix[1, 0]) - 1.0) <= 1e-12
+
+
+def test_spectral_matches_dense_eigendecomposition():
+    # U(t) = H diag(exp(i t lambda)) H / n with the dense sign matrix H,
+    # a reference that runs no butterfly transform.
+    rng = np.random.default_rng(43)
+    for d in range(1, 8):
+        n = 1 << d
+        h = sign_matrix(d).astype(np.float64)
+        z_int = rng.integers(-100, 101, size=n)
+        z_float = rng.uniform(-3.0, 3.0, size=n)
+        for z, t in ((z_int, math.pi / 2), (z_int, float(rng.uniform(0, 7))), (z_float, 0.9)):
+            lam = h @ np.asarray(z, dtype=np.float64)
+            expected = (h * np.exp(1j * t * lam)) @ h / n
+            assert np.abs(transition_spectral(z, t).matrix - expected).max() <= 1e-12
 
 
 def test_spectral_dimension_cap():
