@@ -13,10 +13,7 @@ from .boolean_domain import (
     DENSE_DIMENSION_LIMIT,
     MAX_DIMENSION,
     GroupElement,
-    hadamard_sign,
-    parity_inner,
     sign_matrix,
-    xor,
 )
 from .eigenbasis_builder import (
     IndexSet,
@@ -50,14 +47,10 @@ from .pst_analyzer import (
 )
 from .spectral_engine import (
     Spectrum,
-    StructuralReport,
-    WeightedGraph,
     WeightVector,
     adjacency_from_weights,
     eigenvalues_from_weights,
     fwht,
-    structural_report,
-    weights_from_adjacency,
 )
 from .walk_oracle import (
     LEAKAGE_LIMIT,
@@ -85,19 +78,12 @@ __all__ = [
     "GroupElement",
     "MAX_DIMENSION",
     "DENSE_DIMENSION_LIMIT",
-    "parity_inner",
-    "xor",
-    "hadamard_sign",
     "sign_matrix",
     "WeightVector",
     "Spectrum",
-    "WeightedGraph",
-    "StructuralReport",
     "fwht",
     "eigenvalues_from_weights",
     "adjacency_from_weights",
-    "weights_from_adjacency",
-    "structural_report",
     "OrthogonalBasis",
     "IndexSet",
     "ReconstructionResult",

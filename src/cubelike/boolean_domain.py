@@ -52,9 +52,6 @@ class GroupElement:
             )
         object.__setattr__(self, "bits", bits)
 
-    def __xor__(self, other: "GroupElement") -> "GroupElement":
-        return xor(self, other)
-
     def __int__(self) -> int:
         return self.bits
 
@@ -64,33 +61,8 @@ class GroupElement:
         return format(self.bits, f"0{self.dim}b")
 
 
-def _same_dimension(a: GroupElement, b: GroupElement) -> int:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.dim} vs {b.dim}"
-        )
-    return a.dim
-
-
-def parity_inner(a: GroupElement, b: GroupElement) -> int:
-    """Parity of the coordinatewise product: popcount(a AND b) mod 2."""
-    _same_dimension(a, b)
-    return (a.bits & b.bits).bit_count() & 1
-
-
-def xor(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group operation of Z_2^d (bitwise XOR)."""
-    d = _same_dimension(a, b)
-    return GroupElement(a.bits ^ b.bits, d)
-
-
-def hadamard_sign(i: GroupElement, j: GroupElement) -> int:
-    """The sign (-1)**parity_inner(i, j); entries of the unnormalized Walsh matrix."""
-    return 1 - 2 * parity_inner(i, j)
-
-
 def sign_matrix(d: int) -> np.ndarray:
-    """Dense n x n matrix of hadamard_sign values (int8), n = 2**d.
+    """Dense n x n matrix of the signs (-1)**popcount(i AND j) (int8), n = 2**d.
 
     Built by Kronecker doubling; int8 keeps the largest allowed case
     (d = 13, n = 8192) at 64 MB.

@@ -263,15 +263,13 @@ def _run_eigs(job: JobSpec) -> tuple[int, str]:
 
 
 def _run_pst(job: JobSpec) -> tuple[int, str]:
-    wv = _weight_vector(job)
-    spectrum = eigenvalues_from_weights(wv)
-    result = classify(wv)
+    result = classify(_weight_vector(job))
     offset = 1 if job.one_based else 0
     if job.json_output:
         return 0, _json_dump(
             {
                 "indexing": _indexing_label(job.one_based),
-                "eigenvalues": _eig_json(spectrum.values),
+                "eigenvalues": _eig_json(result.spectrum.values),
                 "sigma": result.sigma.bits,
                 "kind": result.kind.value,
                 "pairs": _pairs_out(result, offset),
@@ -279,7 +277,7 @@ def _run_pst(job: JobSpec) -> tuple[int, str]:
         )
     lines = [
         f"indexing: {_indexing_label(job.one_based)}",
-        f"eigenvalues: {_eig_text(spectrum.values)}",
+        f"eigenvalues: {_eig_text(result.spectrum.values)}",
         _sigma_line(result),
         _kind_line(result),
     ]
@@ -345,7 +343,6 @@ def _verify_lines(report: VerificationReport, offset: int) -> list[str]:
 
 def _run_verify(job: JobSpec) -> tuple[int, str]:
     wv = _weight_vector(job)
-    spectrum = eigenvalues_from_weights(wv)
     result = classify(wv)
     offset = 1 if job.one_based else 0
     failed = None
@@ -359,7 +356,7 @@ def _run_verify(job: JobSpec) -> tuple[int, str]:
     if job.json_output:
         payload = {
             "indexing": _indexing_label(job.one_based),
-            "eigenvalues": _eig_json(spectrum.values),
+            "eigenvalues": _eig_json(result.spectrum.values),
             "sigma": result.sigma.bits,
             "kind": result.kind.value,
             "pairs": _pairs_out(result, offset),
@@ -437,15 +434,14 @@ def _run_export(job: JobSpec) -> tuple[int, str]:
 def check_reference_case(case: ReferenceCase) -> tuple[bool, str]:
     """Recompute one reference row; returns (ok, status line)."""
     wv = WeightVector.from_values(list(case.weights))
-    spectrum = eigenvalues_from_weights(wv)
-    computed = tuple(int(x) for x in spectrum.values)
+    result = classify(wv)
+    computed = tuple(int(x) for x in result.spectrum.values)
     if computed != case.eigenvalues:
         k = next(i for i, (a, b) in enumerate(zip(computed, case.eigenvalues)) if a != b)
         return False, (
             f"row {case.index} (d={case.d}): FAIL eigenvalue mismatch at k={k}: "
             f"computed {computed[k]}, expected {case.eigenvalues[k]}"
         )
-    result = classify(wv)
     if result.kind is TransferKind.PERIODIC:
         got_pairs = {(u, u) for u in range(1, wv.n + 1)}
     else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boolean_domain import GroupElement
 from .exceptions import ConsistencyError, DimensionMismatchError, DomainError, ParityError
-from .spectral_engine import as_spectrum, as_weight_vector, eigenvalues_from_weights
+from .spectral_engine import Spectrum, as_spectrum, as_weight_vector, eigenvalues_from_weights
 
 TRANSFER_TIME = math.pi / 2
 
@@ -36,19 +36,20 @@ class PstResult:
     """Outcome of classify: periodic, or PST with the full pair partition.
 
     kind is PERIODIC exactly when sigma is the zero element; otherwise
-    pairs holds n/2 rows (u, u ^ sigma) covering every vertex once.
+    pairs holds n/2 rows (u, u ^ sigma) covering every vertex once. sigma
+    fixes the partition, so equality and hashing look at sigma and kind
+    only. spectrum is the Spectrum that classify computed on the way, or
+    None for a result built by hand.
     """
 
     sigma: GroupElement
     kind: TransferKind
-    pairs: np.ndarray | None
-    time: float = field(default=TRANSFER_TIME)
+    pairs: np.ndarray | None = field(compare=False)
+    spectrum: Spectrum | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.sigma, GroupElement):
             raise DimensionMismatchError("sigma must be a GroupElement")
-        if not math.isfinite(self.time):
-            raise DomainError("transfer time must be finite")
         n = 1 << self.sigma.dim
         if self.sigma.bits == 0:
             if self.kind is not TransferKind.PERIODIC:
@@ -134,8 +135,9 @@ def classify(z) -> PstResult:
 
     sigma is computed along both routes (spectrum parities and weight
     sums) and the two must agree. Pairs are listed with u < u ^ sigma,
-    ascending in u. The loop weight z[0] shifts every eigenvalue equally,
-    so it never changes the outcome.
+    ascending in u, and the spectrum travels with the result. The loop
+    weight z[0] shifts every eigenvalue equally, so it never changes the
+    outcome.
     """
     wv = as_weight_vector(z)
     if not wv.integral:
@@ -150,9 +152,13 @@ def classify(z) -> PstResult:
         )
     sigma = via_spectrum
     if sigma.bits == 0:
-        return PstResult(sigma=sigma, kind=TransferKind.PERIODIC, pairs=None)
+        return PstResult(
+            sigma=sigma, kind=TransferKind.PERIODIC, pairs=None, spectrum=spectrum
+        )
     idx = np.arange(wv.n, dtype=np.int64)
     partners = np.bitwise_xor(idx, sigma.bits)
     lower = idx[idx < partners]
     pairs = np.stack((lower, np.bitwise_xor(lower, sigma.bits)), axis=1)
-    return PstResult(sigma=sigma, kind=TransferKind.PERFECT_STATE_TRANSFER, pairs=pairs)
+    return PstResult(
+        sigma=sigma, kind=TransferKind.PERFECT_STATE_TRANSFER, pairs=pairs, spectrum=spectrum
+    )

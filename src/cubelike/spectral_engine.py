@@ -20,13 +20,9 @@ from .exceptions import (
     DimensionMismatchError,
     DomainError,
     OverflowGuardError,
-    StructureError,
 )
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-# Floating-point circulant comparison tolerance; integer matrices compare exactly.
-CIRCULANT_TOL = 1e-9
 
 
 def _normalize_real_vector(values, what: str):
@@ -130,18 +126,6 @@ def as_spectrum(x) -> Spectrum:
     return x if isinstance(x, Spectrum) else Spectrum.from_values(x)
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Dense symmetric adjacency matrix of a weighted cubelike graph."""
-
-    d: int
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return 1 << self.d
-
-
 def _guard_accumulation(work: np.ndarray, what: str) -> None:
     """Refuse int64 inputs whose length-n signed sums could wrap."""
     n = work.size
@@ -175,7 +159,10 @@ def fwht(values) -> np.ndarray:
     out[k] = sum_l (-1)**popcount(k AND l) * v[l]. Self-inverse up to the
     factor n: fwht(fwht(v)) == n * v. Integer inputs are transformed in
     exact int64 arithmetic; a guard raises instead of wrapping when the
-    accumulation bound n * max|v| would exceed the 64-bit range.
+    accumulation bound n * max|v| would exceed the 64-bit range. Float
+    inputs are summed in float64, so a weight below the rounding step of a
+    much larger one is absorbed: 1e300, 1, 1, 1 transforms exactly like
+    1e300, 0, 0, 0.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -215,71 +202,6 @@ def xor_circulant(kernel: np.ndarray) -> np.ndarray:
     return m
 
 
-def adjacency_from_weights(z) -> WeightedGraph:
-    """Dense adjacency matrix A[i][j] = z[i ^ j] (limited to d <= 13)."""
-    wv = as_weight_vector(z)
-    return WeightedGraph(d=wv.d, matrix=xor_circulant(wv.values))
-
-
-def weights_from_adjacency(a) -> WeightVector:
-    """Invert adjacency_from_weights: read z off the first row.
-
-    The matrix must satisfy a[i][j] == a[0][i ^ j] for all i, j (this also
-    forces symmetry); the first violation in row-major order is reported.
-    Integer matrices are compared exactly, real ones within CIRCULANT_TOL.
-    """
-    mat = a.matrix if isinstance(a, WeightedGraph) else np.asarray(a)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"adjacency must be square, got shape {mat.shape}")
-    n = mat.shape[0]
-    _power_of_two_dimension(n, "adjacency")
-    first_row = mat[0]
-    expected = xor_circulant(first_row)
-    if np.issubdtype(mat.dtype, np.integer) or mat.dtype == bool:
-        bad = mat != expected
-    else:
-        bad = np.abs(mat - expected) > CIRCULANT_TOL
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), n)
-        raise StructureError(
-            f"matrix is not XOR-circulant at entry ({i}, {j}): "
-            f"a[{i}][{j}] = {mat[i, j]} but a[0][{i ^ j}] = {first_row[i ^ j]}"
-        )
-    return WeightVector.from_values(np.array(first_row, copy=True))
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    """Loop, integrality and parity facts about a weight vector's graph."""
-
-    d: int
-    n: int
-    loop_weight: float
-    loop_free: bool
-    integral: bool
-    eigenvalue_parity: str | None
-    eigenvalue_sum: float
-
-
-def structural_report(z) -> StructuralReport:
-    """Report loop-freeness, integrality and the common eigenvalue parity.
-
-    z[0] == 0 is equivalent to a zero diagonal and to a zero eigenvalue sum;
-    the sum always equals n * z[0]. For integer weights all eigenvalues
-    share the parity of their sum entry.
-    """
-    wv = as_weight_vector(z)
-    loop = wv.values[0]
-    parity = None
-    if wv.integral:
-        parity = "even" if int(wv.values.sum()) % 2 == 0 else "odd"
-    loop_val = int(loop) if wv.integral else float(loop)
-    return StructuralReport(
-        d=wv.d,
-        n=wv.n,
-        loop_weight=loop_val,
-        loop_free=bool(loop == 0),
-        integral=wv.integral,
-        eigenvalue_parity=parity,
-        eigenvalue_sum=loop_val * wv.n,
-    )
+def adjacency_from_weights(z) -> np.ndarray:
+    """Read-only dense adjacency matrix A[i][j] = z[i ^ j] (limited to d <= 13)."""
+    return xor_circulant(as_weight_vector(z).values)

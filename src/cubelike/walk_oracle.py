@@ -28,7 +28,6 @@ from .exceptions import (
 )
 from .pst_analyzer import TRANSFER_TIME, PstResult, TransferKind
 from .spectral_engine import (
-    WeightedGraph,
     _transform_last_axis,
     adjacency_from_weights,
     as_weight_vector,
@@ -42,6 +41,7 @@ SERIES_SIZE_LIMIT = 1 << SERIES_DIMENSION_LIMIT
 PST_THRESHOLD = 1.0 - 1e-9
 LEAKAGE_LIMIT = 1e-6
 ROUTE_AGREEMENT = 1e-8
+_SERIES_NORM_LIMIT = 2.0**1000
 
 # i**k for k = 0..3: the exact phases exp(i * pi/2 * lambda) of integer lambda.
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
@@ -65,7 +65,8 @@ def transition_spectral(z, t: float) -> TransitionMatrix:
     U[u][v] = g[u ^ v] with kernel g = fwht(exp(i t lambda)) / n and
     lambda = fwht(z): two length-n transforms, O(n log n), then an n^2
     gather into the dense matrix, which is symmetric by construction.
-    Limited to d <= 13 (dense output).
+    Limited to d <= 13 (dense output). A time so large that t * lambda
+    leaves the float64 range raises DomainError.
     """
     wv = as_weight_vector(z)
     t = float(t)
@@ -75,7 +76,11 @@ def transition_spectral(z, t: float) -> TransitionMatrix:
     if wv.integral and t == TRANSFER_TIME:
         phases = _QUARTER_TURNS[np.mod(lam, 4)]
     else:
-        phases = np.exp(1j * t * lam.astype(np.float64))
+        with np.errstate(over="ignore"):
+            angle = t * lam.astype(np.float64)
+        if not np.isfinite(angle).all():
+            raise DomainError(f"t * lambda leaves the float64 range at t = {t!r}")
+        phases = np.exp(1j * angle)
     kernel = _transform_last_axis(phases) / wv.n
     return TransitionMatrix(time=t, matrix=xor_circulant(kernel))
 
@@ -85,9 +90,10 @@ def transition_taylor(a, t: float) -> TransitionMatrix:
 
     Accepts any symmetric real matrix up to SERIES_SIZE_LIMIT rows — no
     transform, no eigenbasis, only matrix products — with target accuracy
-    around 1e-10 against the true exponential.
+    around 1e-10 against the true exponential. A product t * A too large
+    for float64 raises DomainError instead of returning NaN.
     """
-    mat = a.matrix if isinstance(a, WeightedGraph) else np.asarray(a, dtype=np.float64)
+    mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"adjacency must be square, got shape {mat.shape}")
     n = mat.shape[0]
@@ -102,19 +108,26 @@ def transition_taylor(a, t: float) -> TransitionMatrix:
     scale = 1.0 + float(np.abs(mat).max()) if n else 1.0
     if n and float(np.abs(mat - mat.T).max()) > 1e-9 * scale:
         raise StructureError("adjacency matrix must be symmetric")
-    b = 1j * t * mat.astype(np.complex128)
-    norm1 = float(np.abs(b).sum(axis=0).max()) if n else 0.0
+    with np.errstate(over="ignore"):
+        b = 1j * t * mat.astype(np.complex128)
+        norm1 = float(np.abs(b).sum(axis=0).max()) if n else 0.0
+    # Keeps the scaling factor 2**squarings inside the float64 range.
+    if not norm1 <= _SERIES_NORM_LIMIT:
+        raise DomainError(f"|t| * ||A||_1 = {norm1:.3e} is too large for the series exponential")
     squarings = 0 if norm1 <= 0.5 else int(math.ceil(math.log2(norm1 / 0.5)))
     c = b / (2.0**squarings)
     total = np.eye(n, dtype=np.complex128)
     term = np.eye(n, dtype=np.complex128)
-    for k in range(1, 64):
-        term = term @ c / k
-        total += term
-        if float(np.abs(term).max()) <= 1e-17 * max(1.0, float(np.abs(total).max())):
-            break
-    for _ in range(squarings):
-        total = total @ total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 64):
+            term = term @ c / k
+            total += term
+            if float(np.abs(term).max()) <= 1e-17 * max(1.0, float(np.abs(total).max())):
+                break
+        for _ in range(squarings):
+            total = total @ total
+    if not np.isfinite(total).all():
+        raise DomainError("series exponential overflowed; t * A is too large")
     u = 0.5 * (total + total.T)
     u.flags.writeable = False
     return TransitionMatrix(time=t, matrix=u)

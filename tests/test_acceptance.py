@@ -156,7 +156,7 @@ def test_criterion_7_reconstruction_round_trip():
         z = rng.integers(-50, 51, size=1 << d)
         basis = walsh_basis(d)
         result = reconstruct(basis, select_index_set(basis), z.astype(float))
-        assert np.abs(result.a - adjacency_from_weights(z).matrix).max() <= 1e-9
+        assert np.abs(result.a - adjacency_from_weights(z)).max() <= 1e-9
     report(7, "150 random orthogonal bases (n=4,8,16) round-trip within 1e-8; "
               "Walsh bases match the direct adjacency within 1e-9")
 

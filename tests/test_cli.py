@@ -197,6 +197,38 @@ def test_verify_periodic_row(capsys):
     assert "verification: PASS" in out
 
 
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        pytest.param(("pst", "--weights", "0,1,-7,-10"), 1, id="pst"),
+        pytest.param(("pst", "--weights", "0,2,3,4,5,6,5,4", "--json"), 1, id="pst-periodic"),
+        pytest.param(("verify", "--weights", "0,50,-10,-3"), 2, id="verify"),
+        pytest.param(
+            ("verify", "--weights", "0,2,3,4,5,6,5,4", "--json"), 2, id="verify-periodic"
+        ),
+        pytest.param(("table",), 2 * len(REFERENCE_TABLE), id="table"),
+    ],
+)
+def test_each_request_transforms_the_weights_once(capsys, monkeypatch, argv, expected):
+    # classify hands its spectrum to the CLI; only verify's own U(pi/2)
+    # transforms the weights a second time.
+    import cubelike.spectral_engine
+    import cubelike.walk_oracle
+
+    calls = []
+    for module in (cubelike.spectral_engine, cubelike.walk_oracle):
+        original = module.fwht
+
+        def counted(values, _original=original):
+            calls.append(1)
+            return _original(values)
+
+        monkeypatch.setattr(module, "fwht", counted)
+    code, _, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert len(calls) == expected
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -356,3 +388,21 @@ def test_boolean_time_in_json_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert '"time" must be a number' in err
+
+
+def test_huge_finite_time_flag_is_input_error(capsys):
+    code, out, err = invoke(
+        capsys, "simulate", "--weights", "0,1,1,0", "--pair", "1,4", "--time", "1e308"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "float64 range" in err
+
+
+def test_huge_finite_time_in_json_is_input_error(capsys, tmp_path):
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({"z": [0, 1, 1, 0], "time": 1e308}))
+    code, out, err = invoke(capsys, "simulate", "--input", str(doc), "--pair", "0,3", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "float64 range" in err

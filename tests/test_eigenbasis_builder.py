@@ -265,4 +265,4 @@ def test_reconstruct_matches_transform_route(d):
     basis = walsh_basis(d)
     result = reconstruct(basis, select_index_set(basis), z.astype(float))
     assert np.abs(result.x - fwht(z)).max() <= 1e-9
-    assert np.abs(result.a - adjacency_from_weights(z).matrix).max() <= 1e-9
+    assert np.abs(result.a - adjacency_from_weights(z)).max() <= 1e-9

@@ -120,6 +120,22 @@ def test_classify_reference_row_8():
     ]
 
 
+def test_classify_equality_and_hash_reference_row_1():
+    z = [0, 1, -7, -10]
+    first, second = classify(z), classify(z)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first != classify([0, 2, 3, 4, 5, 6, 5, 4])
+
+
+def test_classify_carries_its_spectrum():
+    z = [0, 3, 1, 4, -6, 0, -1, 10]
+    result = classify(z)
+    assert np.array_equal(result.spectrum.values, eigenvalues_from_weights(z).values)
+    assert "spectrum" not in repr(result)
+
+
 def test_classify_rejects_non_integral():
     with pytest.raises(DomainError):
         classify([0.0, 0.5, 0.5, 0.0])
@@ -258,4 +274,4 @@ def test_pst_result_valid_construction():
         pairs=np.array([[0, 3], [1, 2]]),
     )
     assert result.n == 4
-    assert result.time == pytest.approx(np.pi / 2)
+    assert result.spectrum is None

@@ -9,7 +9,6 @@ from cubelike.exceptions import (
     DomainError,
     OverflowGuardError,
     ResourceLimitError,
-    StructureError,
 )
 from cubelike.spectral_engine import (
     Spectrum,
@@ -17,8 +16,6 @@ from cubelike.spectral_engine import (
     adjacency_from_weights,
     eigenvalues_from_weights,
     fwht,
-    structural_report,
-    weights_from_adjacency,
 )
 
 
@@ -138,7 +135,7 @@ def test_eigenvalues_cycle_graph():
 
 
 # ---------------------------------------------------------------------------
-# adjacency_from_weights / weights_from_adjacency
+# adjacency_from_weights
 # ---------------------------------------------------------------------------
 
 def test_adjacency_cycle_graph():
@@ -150,104 +147,27 @@ def test_adjacency_cycle_graph():
             [0, 1, 1, 0],
         ]
     )
-    assert np.array_equal(adjacency_from_weights([0, 1, 1, 0]).matrix, expected)
+    assert np.array_equal(adjacency_from_weights([0, 1, 1, 0]), expected)
 
 
 def test_adjacency_pure_loops_is_identity():
-    graph = adjacency_from_weights([1, 0, 0, 0])
-    assert np.array_equal(graph.matrix, np.eye(4, dtype=np.int64))
+    a = adjacency_from_weights([1, 0, 0, 0])
+    assert np.array_equal(a, np.eye(4, dtype=np.int64))
 
 
 def test_adjacency_hypercube_q3():
-    graph = adjacency_from_weights([0, 1, 1, 0, 1, 0, 0, 0])
+    a = adjacency_from_weights([0, 1, 1, 0, 1, 0, 0, 0])
     expected = np.zeros((8, 8), dtype=np.int64)
     for i in range(8):
         for j in range(8):
             if (i ^ j).bit_count() == 1:
                 expected[i, j] = 1
-    assert np.array_equal(graph.matrix, expected)
+    assert np.array_equal(a, expected)
 
 
 def test_adjacency_dimension_cap():
     with pytest.raises(ResourceLimitError):
         adjacency_from_weights(np.zeros(1 << 14, dtype=np.int64))
-
-
-def test_weights_from_adjacency_first_row_readoff():
-    graph = adjacency_from_weights([0, 1, 1, 0])
-    assert weights_from_adjacency(graph).values.tolist() == [0, 1, 1, 0]
-
-
-def test_weights_adjacency_round_trip_100_random():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        d = int(rng.integers(1, 7))
-        z = rng.integers(-100, 101, size=1 << d)
-        back = weights_from_adjacency(adjacency_from_weights(z))
-        assert np.array_equal(back.values, z)
-
-
-def test_weights_from_adjacency_rejects_path_graph():
-    # path 0-1-2 plus isolated 3 is not XOR-circulant
-    a = np.array(
-        [
-            [0, 1, 0, 0],
-            [1, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 0],
-        ]
-    )
-    with pytest.raises(StructureError, match=r"\(1, 2\)"):
-        weights_from_adjacency(a)
-
-
-def test_weights_from_adjacency_float_tolerance():
-    graph = adjacency_from_weights([0.0, 1.5, 2.5, 0.0])
-    wobble = graph.matrix + 1e-12
-    assert np.allclose(weights_from_adjacency(wobble).values, [0.0, 1.5, 2.5, 0.0])
-    broken = np.array(graph.matrix, copy=True)
-    broken[2, 1] += 1e-6
-    with pytest.raises(StructureError):
-        weights_from_adjacency(broken)
-
-
-# ---------------------------------------------------------------------------
-# structural_report
-# ---------------------------------------------------------------------------
-
-def test_structural_report_loop_free_even():
-    report = structural_report([0, 1, -7, -10])
-    assert report.loop_free
-    assert report.integral
-    assert report.eigenvalue_parity == "even"
-    assert report.eigenvalue_sum == 0
-
-
-def test_structural_report_with_loops():
-    report = structural_report([1, 0, 0, 0])
-    assert not report.loop_free
-    assert report.loop_weight == 1
-    assert report.eigenvalue_sum == 4
-
-
-def test_structural_report_odd_parity():
-    report = structural_report([0, 3, 1, 4, -6, 0, -1, 10])
-    assert report.loop_free
-    assert report.eigenvalue_parity == "odd"
-
-
-def test_structural_report_matches_actual_spectrum():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        d = int(rng.integers(1, 6))
-        z = rng.integers(-50, 51, size=1 << d)
-        report = structural_report(z)
-        lam = eigenvalues_from_weights(z).values
-        assert report.eigenvalue_sum == lam.sum()
-        assert report.loop_free == (lam.sum() == 0) == (z[0] == 0)
-        parities = set(np.mod(lam, 2).tolist())
-        assert len(parities) == 1
-        assert report.eigenvalue_parity == ("even" if parities == {0} else "odd")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +179,7 @@ def test_spectral_correctness_eigenvector_residual(d):
     rng = np.random.default_rng(100 + d)
     n = 1 << d
     z = rng.integers(-100, 101, size=n)
-    a = adjacency_from_weights(z).matrix.astype(np.float64)
+    a = adjacency_from_weights(z).astype(np.float64)
     lam = eigenvalues_from_weights(z).values.astype(np.float64)
     p = sign_matrix(d).astype(np.float64) / np.sqrt(n)
     residual = np.abs(a @ p - p * lam).max()

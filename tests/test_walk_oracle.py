@@ -84,6 +84,12 @@ def test_spectral_rejects_non_finite_time():
         transition_spectral(C4, math.inf)
 
 
+def test_spectral_huge_time_is_domain_error():
+    # t * lambda overflows float64; must fail loudly, not return NaN.
+    with pytest.raises(DomainError, match="float64 range"):
+        transition_spectral(C4, 1e308)
+
+
 def test_spectral_accepts_real_weights():
     u = transition_spectral([0.0, 0.5, 0.5, 0.0], 0.7)
     assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(4)).max() <= 1e-12
@@ -118,6 +124,13 @@ def test_taylor_rejects_asymmetric_matrix():
 def test_taylor_size_cap():
     with pytest.raises(ResourceLimitError):
         transition_taylor(np.zeros((2048, 2048)), 1.0)
+
+
+@pytest.mark.parametrize("t", [1e100, 8e307, 1e308])
+def test_taylor_huge_time_is_domain_error(t):
+    # 1e100 overflows the squarings, 8e307 the scaling, 1e308 t * A itself.
+    with pytest.raises(DomainError):
+        transition_taylor(adjacency_from_weights(C4), t)
 
 
 def test_routes_agree_on_random_graphs():
