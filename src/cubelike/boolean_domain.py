@@ -21,9 +21,14 @@ MAX_DIMENSION = 20
 DENSE_DIMENSION_LIMIT = 13
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; False for bool, float, str and the rest."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_dimension(d, limit: int = MAX_DIMENSION) -> int:
     """Validate a group dimension, returning it as a plain int."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+    if not _is_integer(d):
         raise DimensionMismatchError(f"dimension must be an integer, got {d!r}")
     d = int(d)
     if d < 1:
@@ -43,7 +48,7 @@ class GroupElement:
     def __post_init__(self):
         d = check_dimension(self.dim)
         object.__setattr__(self, "dim", d)
-        if isinstance(self.bits, bool) or not isinstance(self.bits, (int, np.integer)):
+        if not _is_integer(self.bits):
             raise DimensionMismatchError(f"bits must be an integer, got {self.bits!r}")
         bits = int(self.bits)
         if not 0 <= bits < (1 << d):

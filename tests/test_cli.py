@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cubelike.cli import JobSpec, check_reference_case, main, run, run_table
@@ -188,6 +189,16 @@ def test_verify_json_carries_checks(capsys):
     assert len(data["checks"]) == 2
     assert all(c["ok"] for c in data["checks"])
     assert all(f >= 1 - 1e-9 for f in data["fidelities"])
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_verify_json_large_weights_true_claim_passes(capsys, seed):
+    z = np.random.default_rng(seed).integers(-10**4, 10**4 + 1, 1024)
+    code, out, err = invoke(capsys, "verify", "--weights", ",".join(map(str, z)), "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert all(c["ok"] for c in data["checks"])
+    assert min(c["fidelity_series"] for c in data["checks"]) >= 1 - 1e-9
 
 
 def test_verify_periodic_row(capsys):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import cubelike.walk_oracle as walk_oracle
 from cubelike.boolean_domain import GroupElement, sign_matrix
 from cubelike.exceptions import (
+    DimensionMismatchError,
     DomainError,
     ResourceLimitError,
     StructureError,
@@ -12,8 +14,10 @@ from cubelike.exceptions import (
 )
 from cubelike.fixtures import REFERENCE_TABLE
 from cubelike.pst_analyzer import PstResult, TransferKind, classify
-from cubelike.spectral_engine import adjacency_from_weights
+from cubelike.spectral_engine import adjacency_from_weights, as_weight_vector
 from cubelike.walk_oracle import (
+    _product_kernel,
+    _spectral_kernel,
     fidelity,
     transition_spectral,
     transition_taylor,
@@ -144,6 +148,45 @@ def test_routes_agree_on_random_graphs():
         assert np.abs(a - b).max() <= 1e-8
 
 
+def test_spectral_accuracy_bound_for_large_times():
+    # Documented in transition_spectral: for integer weights the routes agree
+    # within |t| * sum|z| * 2**-52, here checked from 1e2 to 1e14.
+    rng = np.random.default_rng(83)
+    for scale in np.logspace(2, 14, 13):
+        for d in range(1, 8):
+            z = rng.integers(-1000, 1001, size=1 << d)
+            z[1] = 7  # sum|z| > 0
+            norm = float(np.abs(z).sum())
+            t = float(scale / norm * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0]))
+            wv = as_weight_vector(z)
+            delta = np.abs(_spectral_kernel(wv, t) - _product_kernel(wv, t)).max()
+            assert delta <= abs(t) * norm * 2.0**-52
+
+
+# ---------------------------------------------------------------------------
+# _product_kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t", [math.pi / 2, 0.3, 1.7])
+def test_product_kernel_matches_taylor_row(t):
+    # Same random graphs as test_routes_agree_on_random_graphs; row 0 of an
+    # XOR-circulant U(t) is its kernel.
+    rng = np.random.default_rng(51)
+    for _ in range(20):
+        d = int(rng.integers(1, 7))
+        z = rng.integers(-100, 101, size=1 << d)
+        rng.uniform(0, 2 * math.pi)  # that test's t; keeps the stream in step
+        row = transition_taylor(adjacency_from_weights(z), t).matrix[0]
+        assert np.abs(_product_kernel(as_weight_vector(z), t) - row).max() <= 1e-8
+
+
+def test_product_kernel_matches_spectral_on_reference_rows():
+    for case in REFERENCE_TABLE:
+        wv = as_weight_vector(list(case.weights))
+        delta = np.abs(_product_kernel(wv, math.pi / 2) - _spectral_kernel(wv, math.pi / 2))
+        assert delta.max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 # ---------------------------------------------------------------------------
@@ -169,6 +212,19 @@ def test_fidelity_index_out_of_range():
     u = transition_spectral(C4, 1.0)
     with pytest.raises(IndexError):
         fidelity(u, 0, 4)
+
+
+@pytest.mark.parametrize("u, v", [(0.9, 3), (True, 3), ("3", 0), (0, 3.0), (0, False)])
+def test_fidelity_rejects_non_integer_vertex(u, v):
+    # int() would read vertex 0, 1 and 3 here: a silent wrong answer.
+    walk = transition_spectral(C4, math.pi / 2)
+    with pytest.raises(DimensionMismatchError):
+        fidelity(walk, u, v)
+
+
+def test_fidelity_accepts_numpy_integers():
+    walk = transition_spectral(C4, math.pi / 2)
+    assert fidelity(walk, np.int64(0), np.uint8(3)) == fidelity(walk, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +284,29 @@ def test_verify_all_reference_rows():
         report = verify_result(list(case.weights), result)
         assert report.ok
         assert report.route_delta <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_verify_passes_true_claim_with_large_weights(seed):
+    # A dense n x n series oracle reached fidelity 0.99999999865 here and
+    # failed these true claims against the unchanged 1 - 1e-9 threshold.
+    z = np.random.default_rng(seed).integers(-10**4, 10**4 + 1, 1024)
+    report = verify_result(z, classify(z))
+    assert report.ok
+    assert report.route_delta <= 1e-8
+    assert min(c.fidelity_series for c in report.checks) >= 1 - 1e-9
+
+
+def test_verify_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_result built a dense matrix")
+
+    monkeypatch.setattr(walk_oracle, "xor_circulant", refuse)
+    monkeypatch.setattr(walk_oracle, "transition_taylor", refuse)
+    cases = [list(case.weights) for case in REFERENCE_TABLE]
+    cases.append(np.random.default_rng(89).integers(-50, 51, 1 << 10))
+    for z in cases:
+        assert verify_result(z, classify(z)).ok
 
 
 def test_verify_catches_corrupted_sigma():
