@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -77,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="JSON input file ('-' for stdin)")
     common.add_argument(
-        "--weights", metavar="CSV", help="weights as a comma-separated list, e.g. 0,1,-7,-10"
+        "--weights", metavar="CSV",
+        help="weights as a comma-separated list, e.g. 0,1,-7,-10; "
+        "a list may start with a negative weight (--weights -1,2,3,4 or --weights=-1,2,3,4)",
     )
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--time", type=float, default=None, metavar="T", help="walk time (default pi/2)")
@@ -104,6 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", help="recompute the built-in reference table")
 
     return parser
+
+
+# argparse reads a value such as "-1,2,3,4" as an unknown option.
+_NEGATIVE_NUMBER_START = re.compile(r"-\.?\d")
+
+
+def _attach_negative_weights(argv: list[str]) -> list[str]:
+    """Glue --weights to a following list that starts with a negative number."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--weights" and _NEGATIVE_NUMBER_START.match(token):
+            out[-1] = f"--weights={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_csv_weights(text: str) -> list:
@@ -498,8 +516,9 @@ def run(job: JobSpec) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_weights(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

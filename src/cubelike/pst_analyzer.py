@@ -64,10 +64,17 @@ class PstResult:
             raise ConsistencyError(
                 f"pair partition must have shape ({n // 2}, 2), got {arr.shape}"
             )
+        # Range first: a negative index would otherwise wrap in the marks below.
+        if arr.min() < 0 or arr.max() >= n:
+            raise ConsistencyError(
+                f"pairs must cover every vertex exactly once; entries must lie in 0..{n - 1}"
+            )
         if np.any(np.bitwise_xor(arr[:, 0], arr[:, 1]) != self.sigma.bits):
             raise ConsistencyError("every pair must satisfy u ^ v == sigma")
-        seen = np.sort(arr.ravel())
-        if np.any(seen != np.arange(n)):
+        # n entries that mark all n vertices cover each of them exactly once.
+        marked = np.zeros(n, dtype=bool)
+        marked[arr.ravel()] = True
+        if not marked.all():
             raise ConsistencyError("pairs must cover every vertex exactly once")
         arr = np.array(arr, copy=True)
         arr.flags.writeable = False
@@ -91,20 +98,29 @@ def sigma_from_spectrum(spectrum) -> GroupElement:
     if not spec.integral:
         raise DomainError("classification needs an integer spectrum")
     lam = spec.values
-    diffs = lam - lam[0]
-    odd = (diffs & 1) != 0
+    # (lam - lam[0]) mod 4 from the low bytes: 4 divides 256, and one byte
+    # per entry keeps every pass below cheap.
+    low = lam.astype(np.uint8)
+    low -= low[0]
+    low &= 3
+    odd = low & 1
     if odd.any():
         k = int(np.argmax(odd))
         raise ParityError(
-            f"eigenvalue difference at index {k} is odd ({int(diffs[k])}); "
+            f"eigenvalue difference at index {k} is odd ({int(lam[k]) - int(lam[0])}); "
             "not the spectrum of an integer weight vector"
         )
-    half_odd = (diffs >> 1) & 1
+    # Every entry is now 0 or 2: twice the parity of the halved difference.
     powers = np.int64(1) << np.arange(spec.d, dtype=np.int64)
-    sigma = int(half_odd[powers] @ powers)
-    idx = np.arange(spec.n, dtype=np.int64)
-    wanted = np.bitwise_count(np.bitwise_and(idx, sigma)).astype(np.int64) & 1
-    bad = half_odd != wanted
+    sigma = int((low[powers] >> 1) @ powers)
+    # 2 * chi_sigma[k] = 2 * (popcount(k & sigma) mod 2), built by doubling:
+    # entries 2**j .. 2**(j+1) - 1 are the first 2**j, flipped when bit j of
+    # sigma is set.
+    wanted = np.zeros(spec.n, dtype=np.uint8)
+    for j in range(spec.d):
+        size = 1 << j
+        np.bitwise_xor(wanted[:size], 2 * (sigma >> j & 1), out=wanted[size : 2 * size])
+    bad = low != wanted
     if bad.any():
         k = int(np.argmax(bad))
         raise ConsistencyError(
@@ -126,7 +142,13 @@ def sigma_from_weights(z) -> GroupElement:
     wv = as_weight_vector(z)
     if not wv.integral:
         raise DomainError("transfer offset needs integer weights")
-    sigma = int(np.bitwise_xor.reduce(np.flatnonzero(wv.values & 1)))
+    # Branch-free masked XOR in the narrowest unsigned type that holds every
+    # index: -(z & 1) is all ones where z is odd and 0 where it is even.
+    index = np.min_scalar_type(wv.n - 1)
+    masked = (wv.values & 1).astype(index)
+    np.negative(masked, out=masked)
+    masked &= np.arange(wv.n, dtype=index)
+    sigma = int(np.bitwise_xor.reduce(masked))
     return GroupElement(sigma, wv.d)
 
 
@@ -155,9 +177,11 @@ def classify(z) -> PstResult:
         return PstResult(
             sigma=sigma, kind=TransferKind.PERIODIC, pairs=None, spectrum=spectrum
         )
-    idx = np.arange(wv.n, dtype=np.int64)
-    partners = np.bitwise_xor(idx, sigma.bits)
-    lower = idx[idx < partners]
+    # u < u ^ sigma exactly when u has the top bit of sigma clear; the k-th
+    # such u is k with a zero bit inserted there.
+    top = 1 << (sigma.bits.bit_length() - 1)
+    lower = np.arange(wv.n // 2, dtype=np.int64)
+    lower += lower & -top
     pairs = np.stack((lower, np.bitwise_xor(lower, sigma.bits)), axis=1)
     return PstResult(
         sigma=sigma, kind=TransferKind.PERFECT_STATE_TRANSFER, pairs=pairs, spectrum=spectrum

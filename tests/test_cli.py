@@ -92,6 +92,36 @@ def test_pst_non_integer_weights_is_classification_failure(capsys):
     assert "classification failed" in err
 
 
+@pytest.mark.parametrize("flag", [["--weights", "-1,2,3,4"], ["--weights=-1,2,3,4"]])
+def test_pst_negative_leading_weight(capsys, flag):
+    code, out, err = invoke(capsys, "pst", *flag)
+    assert (code, err) == (0, "")
+    assert "eigenvalues: [8, -4, -6, -2]" in out
+    assert "pairs: (1, 3), (2, 4)" in out
+    code, out, err = invoke(capsys, "pst", *flag, "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["eigenvalues"] == [8, -4, -6, -2]
+    assert data["sigma"] == 2
+    assert data["pairs"] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("flag", [["--weights", "-1,2,3,4"], ["--weights=-1,2,3,4"]])
+def test_eigs_negative_leading_weight(capsys, flag):
+    code, out, err = invoke(capsys, "eigs", *flag)
+    assert (code, err) == (0, "")
+    assert out.strip() == "eigenvalues: [8, -4, -6, -2]"
+    code, out, err = invoke(capsys, "eigs", "--json", *flag)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["eigenvalues"] == [8, -4, -6, -2]
+
+
+def test_negative_leading_float_weight(capsys):
+    code, out, _ = invoke(capsys, "eigs", "--weights", "-.5,0.5,0.5,0.5", "--json")
+    assert code == 0
+    assert json.loads(out)["eigenvalues"] == [1.0, -1.0, -1.0, -1.0]
+
+
 # ---------------------------------------------------------------------------
 # eigs
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,77 @@ def test_sigma_from_spectrum_detects_non_character_pattern():
     # the generating weights would be [0.5, -0.5, 0.5, -0.5], not integers
     with pytest.raises(ConsistencyError):
         sigma_from_spectrum([0, 2, 0, 0])
+
+
+def reference_sigma(lam):
+    """Loop reference: (error class, index) of the first failure, or (None, sigma)."""
+    lam = [int(x) for x in lam]
+    diffs = [x - lam[0] for x in lam]
+    for k, x in enumerate(diffs):
+        if x % 2:
+            return ParityError, k
+    d = len(lam).bit_length() - 1
+    sigma = sum(((diffs[1 << j] // 2) % 2) << j for j in range(d))
+    for k, x in enumerate(diffs):
+        if (x // 2) % 2 != (k & sigma).bit_count() % 2:
+            return ConsistencyError, k
+    return None, sigma
+
+
+def corrupted_spectra(d, seed):
+    """A valid spectrum with +1 or +2 at index 0, at powers of two and at the end."""
+    n = 1 << d
+    base = fwht(np.random.default_rng(seed).integers(-500, 501, n))
+    cases = []
+    for k in [0, n - 1] + [1 << j for j in range(d)]:
+        for delta in (1, 2):
+            lam = base.copy()
+            lam[k] += delta
+            cases.append(lam)
+    # Two odd entries: the error must name the first one.
+    lam = base.copy()
+    lam[n // 2] += 1
+    lam[n - 1] += 1
+    cases.append(lam)
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_sigma_from_spectrum_names_the_first_bad_index(d):
+    # lam[0] is the reference, so the culprit is never index 0 itself: an odd
+    # lam[0] makes index 1 the first odd difference, and +2 at a power of two
+    # moves that bit of sigma, so the first mismatch lands past it.
+    for lam in corrupted_spectra(d, seed=d):
+        error, k = reference_sigma(lam)
+        assert error is not None
+        with pytest.raises(error) as excinfo:
+            sigma_from_spectrum(lam)
+        assert re.search(rf"\bindex {k}\b", str(excinfo.value))
+
+
+def test_sigma_from_spectrum_error_index_positions():
+    lam = fwht(np.random.default_rng(2).integers(-500, 501, 64))
+    checks = [(0, 1, ParityError, 1), (63, 1, ParityError, 63), (16, 1, ParityError, 16),
+              (63, 2, ConsistencyError, 63)]
+    for k, delta, error, index in checks:
+        bad = lam.copy()
+        bad[k] += delta
+        with pytest.raises(error, match=rf"index {index}\b"):
+            sigma_from_spectrum(bad)
+
+
+def test_sigma_from_spectrum_near_the_int64_guard():
+    # Shifting every eigenvalue by c is the loop weight z[0] += c: sigma stays.
+    limit = (2**63 - 1) // 2
+    for seed in range(6):
+        z = np.random.default_rng(seed).integers(-1000, 1001, 1 << (seed + 2))
+        lam = fwht(z)
+        expected = sigma_from_weights(z)
+        for shift in (limit - int(lam.max()), -limit - int(lam.min())):
+            shifted = [int(x) + shift for x in lam]
+            assert max(abs(x) for x in shifted) == limit
+            assert sigma_from_spectrum(shifted) == expected
+            assert reference_sigma(shifted) == (None, expected.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +337,50 @@ def test_pst_result_pairs_must_cover_all_vertices():
             kind=TransferKind.PERFECT_STATE_TRANSFER,
             pairs=np.array([[0, 3], [0, 3]]),
         )
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param([[0, 3], [-3, -2]], id="negative-index-that-would-wrap"),
+        pytest.param([[-1, -4], [1, 2]], id="negative-index"),
+        pytest.param([[0, 3], [5, 6]], id="index-past-n"),
+        pytest.param([[0, 3], [4, 7]], id="index-at-n"),
+        pytest.param([[0, 3]], id="too-few-rows"),
+        pytest.param([[0, 3, 0], [1, 2, 1]], id="three-columns"),
+        pytest.param([0, 3, 1, 2], id="flat"),
+        pytest.param([[[0, 3], [1, 2]]], id="three-dimensional"),
+    ],
+)
+def test_pst_result_rejects_bad_pairs(pairs):
+    with pytest.raises(ConsistencyError):
+        PstResult(
+            sigma=GroupElement(3, 2),
+            kind=TransferKind.PERFECT_STATE_TRANSFER,
+            pairs=np.array(pairs),
+        )
+
+
+def test_pst_result_rejects_duplicates_at_d10():
+    sigma = 0b1000000001
+    lower = np.array([u for u in range(1024) if u < u ^ sigma])
+    pairs = np.stack((lower, lower ^ sigma), axis=1)
+    pairs[5] = pairs[4]
+    with pytest.raises(ConsistencyError, match="exactly once"):
+        PstResult(GroupElement(sigma, 10), TransferKind.PERFECT_STATE_TRANSFER, pairs)
+
+
+def test_classify_pairs_match_brute_force_for_every_sigma():
+    # z = delta_sigma has sigma as its only odd index, so every offset (and
+    # every position of its top bit) is reached.
+    d = 6
+    for sigma in range(1, 1 << d):
+        z = np.zeros(1 << d, dtype=np.int64)
+        z[sigma] = 1
+        result = classify(z)
+        assert result.sigma.bits == sigma
+        expected = [(u, u ^ sigma) for u in range(1 << d) if u < u ^ sigma]
+        assert [tuple(p) for p in result.pairs.tolist()] == expected
 
 
 def test_pst_result_valid_construction():

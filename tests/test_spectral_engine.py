@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from cubelike.exceptions import (
     ResourceLimitError,
 )
 from cubelike.spectral_engine import (
+    CHUNK,
     Spectrum,
     WeightVector,
+    _transform_last_axis,
     adjacency_from_weights,
     eigenvalues_from_weights,
     fwht,
@@ -112,6 +116,99 @@ def test_fwht_float_overflow_fails_loudly():
 def test_fwht_rejects_complex():
     with pytest.raises(DomainError):
         fwht(np.array([1j, 0]))
+
+
+def radix2_reference(x):
+    """Plain unblocked radix-2 butterfly along the last axis, one stage at a time."""
+    out = np.array(x, copy=True)
+    n = out.shape[-1]
+    half = 1
+    while half < n:
+        pairs = out.reshape(out.shape[:-1] + (n // (2 * half), 2, half))
+        top = pairs[..., 0, :] + pairs[..., 1, :]
+        bottom = pairs[..., 0, :] - pairs[..., 1, :]
+        pairs[..., 0, :] = top
+        pairs[..., 1, :] = bottom
+        half *= 2
+    return out
+
+
+def random_of_dtype(rng, shape, dtype):
+    if dtype == np.int64:
+        return rng.integers(-(10**6), 10**6 + 1, shape)
+    if dtype == np.float64:
+        return rng.standard_normal(shape) * 1e3
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_blocking_chunk_is_2_to_the_16():
+    # The dimensions below sit on both sides of this block size.
+    assert CHUNK == 1 << 16
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+@pytest.mark.parametrize("d", [1, 15, 16, 17, 18, 20])
+def test_blocked_butterfly_matches_radix2_bit_for_bit(d, dtype):
+    x = random_of_dtype(np.random.default_rng(d), 1 << d, dtype)
+    got = _transform_last_axis(x.copy())
+    want = radix2_reference(x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+def test_blocked_butterfly_leading_axis_d17(dtype):
+    x = random_of_dtype(np.random.default_rng(17), (3, 1 << 17), dtype)
+    got = _transform_last_axis(x.copy())
+    assert got.shape == x.shape
+    assert got.tobytes() == radix2_reference(x).tobytes()
+    for row in range(3):
+        assert got[row].tobytes() == radix2_reference(x[row]).tobytes()
+
+
+def test_blocked_butterfly_many_short_rows():
+    # Short rows share a block; no row may leak into its neighbour.
+    x = np.random.default_rng(3).integers(-100, 101, (300, 1 << 9))
+    assert np.array_equal(_transform_last_axis(x.copy()), radix2_reference(x))
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(5).integers(-1000, 1001, 1 << 17),
+    np.random.default_rng(6).standard_normal(1 << 17),
+])
+def test_fwht_leaves_its_input_unmodified(values):
+    before = values.copy()
+    fwht(values)
+    assert values.tobytes() == before.tobytes()
+
+
+def test_fwht_overflow_guard_boundary_at_d20():
+    n = 1 << 20
+    limit = (2**63 - 1) // n
+    z = np.zeros(n, dtype=np.int64)
+    z[7] = limit
+    assert fwht(z)[0] == limit
+    z[7] = -limit
+    assert fwht(z)[0] == -limit
+    for value in (limit + 1, -(limit + 1)):
+        z[7] = value
+        with pytest.raises(OverflowGuardError):
+            fwht(z)
+
+
+def test_fwht_d20_int64_peak_memory():
+    # The in-place butterfly needs the 8 MiB result plus one scratch buffer
+    # of CHUNK / 2 entries (256 KiB); stages that allocate their own
+    # temporaries peaked at 20.1 MiB.
+    z = np.random.default_rng(20).integers(-1000, 1001, 1 << 20)
+    tracemalloc.start()
+    try:
+        out = fwht(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * 2**20
+    assert peak <= 9 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -309,21 +309,57 @@ def test_verify_builds_no_dense_matrix(monkeypatch):
         assert verify_result(z, classify(z)).ok
 
 
+def wrong_sigma_result(z):
+    """A PST claim whose sigma is off by one bit, with a well-formed partition."""
+    n = len(z)
+    good = classify(z).sigma.bits
+    bits = good ^ 1 if good ^ 1 else 2
+    idx = np.arange(n)
+    lower = idx[idx < (idx ^ bits)]
+    return PstResult(
+        sigma=GroupElement(bits, n.bit_length() - 1),
+        kind=TransferKind.PERFECT_STATE_TRANSFER,
+        pairs=np.stack((lower, lower ^ bits), axis=1),
+    )
+
+
 def test_verify_catches_corrupted_sigma():
     z = [0, 3, 1, 4, -6, 0, -1, 10]
-    good = classify(z)
-    bad_bits = good.sigma.bits ^ 1
-    idx = np.arange(8)
-    lower = idx[idx < (idx ^ bad_bits)]
-    bad = PstResult(
-        sigma=GroupElement(bad_bits, 3),
-        kind=TransferKind.PERFECT_STATE_TRANSFER,
-        pairs=np.stack((lower, lower ^ bad_bits), axis=1),
-    )
     with pytest.raises(VerificationError) as excinfo:
-        verify_result(z, bad)
+        verify_result(z, wrong_sigma_result(z))
     assert excinfo.value.report is not None
     assert not excinfo.value.report.ok
+
+
+def test_verify_failure_message_is_one_summary_line_at_d10():
+    # Every pair of an XOR-circulant U(pi/2) has the same fidelity and
+    # leakage; one line per pair made this message 513 lines long.
+    z = np.random.default_rng(10).integers(-50, 51, 1 << 10)
+    with pytest.raises(VerificationError) as excinfo:
+        verify_result(z, wrong_sigma_result(z))
+    message = str(excinfo.value)
+    assert len(message.splitlines()) <= 3
+    assert "512 of 512 pairs fail" in message
+    assert "routes disagree" not in message
+    report = excinfo.value.report
+    assert report is not None and not report.ok
+    assert len(report.checks) == 512
+
+
+def test_verify_failure_message_keeps_route_disagreement(monkeypatch):
+    product = walk_oracle._product_kernel
+
+    def nudged(wv, t):
+        return product(wv, t) + 1e-7
+
+    monkeypatch.setattr(walk_oracle, "_product_kernel", nudged)
+    z = [0, 3, 1, 4, -6, 0, -1, 10]
+    with pytest.raises(VerificationError) as excinfo:
+        verify_result(z, classify(z))
+    lines = str(excinfo.value).splitlines()
+    assert len(lines) == 2
+    assert "routes disagree" in lines[1]
+    assert excinfo.value.report.route_delta > walk_oracle.ROUTE_AGREEMENT
 
 
 def test_verify_with_loops_still_passes():
