@@ -5,8 +5,10 @@ matrix A[i][j] = z[i ^ j]. This package computes its exact integer
 spectrum through the Walsh-Hadamard transform, classifies the graph as
 admitting perfect state transfer at t = pi/2 or being periodic with
 period dividing pi/2, reconstructs matrices from partial entries for any
-shared eigenbasis, and verifies every claim against an independent dense
-matrix-exponential oracle.
+shared eigenbasis, and verifies every claim at t = pi/2 against two
+independent exact kernels of the walk: the Walsh transform of the
+quarter-turn phases, and the closed form i**(sum z mod 4) P_sigma of the
+product formula.
 """
 
 from .boolean_domain import (

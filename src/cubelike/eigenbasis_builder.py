@@ -158,8 +158,7 @@ def select_index_set(basis: OrthogonalBasis, tol: float = DEFAULT_SELECT_TOL) ->
     )
 
 
-def build_q(basis: OrthogonalBasis, index_set: IndexSet) -> np.ndarray:
-    """The matrix with rows Q[j] = P[rows[j]] * P[cols[j]] (elementwise)."""
+def _check_index_set(basis: OrthogonalBasis, index_set: IndexSet) -> None:
     n = basis.n
     if index_set.size != n:
         raise DimensionMismatchError(
@@ -167,17 +166,21 @@ def build_q(basis: OrthogonalBasis, index_set: IndexSet) -> np.ndarray:
         )
     if index_set.rows.max() >= n or index_set.cols.max() >= n:
         raise DimensionMismatchError(f"index pair out of range for basis size {n}")
+
+
+def build_q(basis: OrthogonalBasis, index_set: IndexSet) -> np.ndarray:
+    """The matrix with rows Q[j] = P[rows[j]] * P[cols[j]] (elementwise)."""
+    _check_index_set(basis, index_set)
     p = basis.matrix
     return p[index_set.rows] * p[index_set.cols]
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Symmetric matrix a with eigenbasis P, eigenvalues x, and the q used."""
+    """Symmetric matrix a with eigenbasis P and eigenvalues x."""
 
     a: np.ndarray
     x: np.ndarray
-    q: np.ndarray
 
 
 def reconstruct(basis: OrthogonalBasis, index_set: IndexSet, z) -> ReconstructionResult:
@@ -186,7 +189,7 @@ def reconstruct(basis: OrthogonalBasis, index_set: IndexSet, z) -> Reconstructio
     The chosen entries are reproduced: A[rows[j]][cols[j]] == z[j]. A
     condition estimate above CONDITION_LIMIT aborts the dense solve; the
     constant-row shortcut (Q = mu * P) needs no estimate since its
-    condition number is 1.
+    condition number is 1, and never builds Q.
     """
     zvec = np.asarray(z, dtype=np.float64)
     if zvec.ndim != 1 or zvec.size != basis.n:
@@ -194,10 +197,11 @@ def reconstruct(basis: OrthogonalBasis, index_set: IndexSet, z) -> Reconstructio
             f"fixed-entry vector must have length {basis.n}, got shape {zvec.shape}"
         )
     p = basis.matrix
-    q = build_q(basis, index_set)
     if index_set.constant_row_value is not None:
+        _check_index_set(basis, index_set)
         x = (p.T @ zvec) / index_set.constant_row_value
     else:
+        q = build_q(basis, index_set)
         cond = float(np.linalg.cond(q))
         if not math.isfinite(cond) or cond > CONDITION_LIMIT:
             raise ReconstructionError(
@@ -218,4 +222,4 @@ def reconstruct(basis: OrthogonalBasis, index_set: IndexSet, z) -> Reconstructio
         )
     a.flags.writeable = False
     x.flags.writeable = False
-    return ReconstructionResult(a=a, x=x, q=q)
+    return ReconstructionResult(a=a, x=x)

@@ -36,10 +36,10 @@ class PstResult:
     """Outcome of classify: periodic, or PST with the full pair partition.
 
     kind is PERIODIC exactly when sigma is the zero element; otherwise
-    pairs holds n/2 rows (u, u ^ sigma) covering every vertex once. sigma
-    fixes the partition, so equality and hashing look at sigma and kind
-    only. spectrum is the Spectrum that classify computed on the way, or
-    None for a result built by hand.
+    pairs holds n/2 integer rows (u, u ^ sigma) covering every vertex
+    once. sigma fixes the partition, so equality and hashing look at sigma
+    and kind only. spectrum is the Spectrum that classify computed on the
+    way, or None for a result built by hand.
     """
 
     sigma: GroupElement
@@ -59,7 +59,11 @@ class PstResult:
             return
         if self.kind is not TransferKind.PERFECT_STATE_TRANSFER:
             raise ConsistencyError("nonzero sigma must classify as perfect state transfer")
-        arr = np.asarray(self.pairs, dtype=np.int64)
+        arr = np.asarray(self.pairs)
+        # A cast to int64 would truncate floats and read bools and numeric strings.
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ConsistencyError(f"pair entries must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape != (n // 2, 2):
             raise ConsistencyError(
                 f"pair partition must have shape ({n // 2}, 2), got {arr.shape}"

@@ -11,13 +11,14 @@ the transfer entries.
 verify_result checks a classification against two kernels of U(pi/2)
 and builds no n x n array. The second kernel multiplies out
 A = sum_h z[h] P_h, a sum of commuting XOR shifts with P_h^2 = I, as
-exp(i t A) = prod_h (cos(t z[h]) I + i sin(t z[h]) P_h) on a kernel:
-O(n^2), with no transform, no eigenbasis and no series truncation, so
-the two kernels check each other. PairCheck keeps its field name
-fidelity_series, which JSON output and the benchmark read; it holds the
-product-formula kernel. transition_taylor, a scaling-and-squaring Taylor
-series of dense matrix products, stays the generic oracle for any
-symmetric matrix.
+exp(i t A) = prod_h exp(i t z[h] P_h). At t = pi/2 each factor is
+i**z[h] P_h**(z[h] mod 2), so U(pi/2) = i**(sum z mod 4) P_sigma, sigma the
+XOR of the odd-weight indices: O(n) integer work on z mod 4, no transform
+and no rounding, while the spectral route reads fwht(z); the two exact
+kernels check each other. PairCheck keeps its field name fidelity_series,
+which JSON output and the benchmark read; it holds the closed-form kernel.
+transition_taylor, a scaling-and-squaring Taylor series of dense matrix
+products, stays the generic oracle for any symmetric matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .exceptions import (
     StructureError,
     VerificationError,
 )
-from .pst_analyzer import TRANSFER_TIME, PstResult, TransferKind
+from .pst_analyzer import TRANSFER_TIME, PstResult, TransferKind, sigma_from_weights
 from .spectral_engine import (
     _transform_last_axis,
     as_weight_vector,
@@ -51,7 +52,7 @@ LEAKAGE_LIMIT = 1e-6
 ROUTE_AGREEMENT = 1e-8
 _SERIES_NORM_LIMIT = 2.0**1000
 
-# i**k for k = 0..3: the exact phases exp(i * pi/2 * lambda) of integer lambda.
+# i**k for k = 0..3: the exact phase exp(i * pi/2 * m) of any integer m = k mod 4.
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
 
@@ -83,25 +84,10 @@ def _spectral_kernel(wv, t: float) -> np.ndarray:
     return _transform_last_axis(phases) / wv.n
 
 
-def _product_kernel(wv, t: float) -> np.ndarray:
-    """Kernel of U(t) = prod_h (cos(t z[h]) I + i sin(t z[h]) P_h).
-
-    P_h is the XOR shift (P_h g)[k] = g[k ^ h]. Starts from the identity's
-    kernel delta_0 and applies one factor per nonzero weight, O(n) each:
-    no transform, no eigenbasis, no truncation.
-    """
-    angle = t * wv.values.astype(np.float64)
-    # Python scalars: a numpy scalar per factor would cost more than its O(n) update.
-    cos = np.cos(angle).tolist()
-    i_sin = (1j * np.sin(angle)).tolist()
-    idx = np.arange(wv.n)
+def _quarter_turn_kernel(wv) -> np.ndarray:
+    """Kernel of U(pi/2) = i**(sum z mod 4) P_sigma, exactly, in O(n) integers."""
     g = np.zeros(wv.n, dtype=np.complex128)
-    g[0] = 1.0
-    for h in np.flatnonzero(wv.values).tolist():
-        shifted = g[idx ^ h]
-        shifted *= i_sin[h]
-        g *= cos[h]
-        g += shifted
+    g[sigma_from_weights(wv).bits] = _QUARTER_TURNS[int((wv.values & 3).sum()) & 3]
     return g
 
 
@@ -116,9 +102,10 @@ def transition_spectral(z, t: float) -> TransitionMatrix:
 
     Accuracy: the angles t * lambda carry a rounding error of up to
     |t| * sum|z| * 2**-53, so for integer weights every entry is good to
-    about |t| * sum|z| * 2**-52 (the product-formula kernel agrees within
-    that bound for |t| * sum|z| from 1e2 to 1e14). Past |t| * sum|z| ~ 2**52
-    the phases are rounding noise; no error is raised for it.
+    about |t| * sum|z| * 2**-52 (a float product-formula kernel agrees
+    within that bound for |t| * sum|z| from 1e2 to 1e14); at t = pi/2 with
+    integer weights every entry is exact. Past |t| * sum|z| ~ 2**52 the
+    phases are rounding noise; no error is raised for it.
     """
     wv = as_weight_vector(z)
     t = float(t)
@@ -212,15 +199,16 @@ class VerificationReport:
 def verify_result(z, result: PstResult) -> VerificationReport:
     """Check a classification against two independent kernels of U(pi/2).
 
-    Compares the spectral kernel with the product-formula kernel (see the
-    module docstring); both are length n, and no n x n array is built.
+    Compares the spectral kernel with the closed form i**(sum z mod 4)
+    delta_sigma of the product formula (see the module docstring); both
+    are length n and exact, and no n x n array is built.
     Every column of an XOR-circulant matrix is a permutation of its
     kernel g, so each claimed pair (or every diagonal entry, if periodic)
     has fidelity |g[sigma]|, which must reach 1 - 1e-9 on both kernels;
     the leakage max_{h not in {0, sigma}} |g[h]| must stay below 1e-6 on
     both; and the kernels must agree within 1e-8 entrywise, which is the
     elementwise agreement of the two matrices. fidelity_series keeps its
-    name for JSON readers and holds the product-formula route. Raises
+    name for JSON readers and holds the closed-form route. Raises
     VerificationError (with the report attached) when any check fails.
     """
     wv = as_weight_vector(z)
@@ -236,7 +224,7 @@ def verify_result(z, result: PstResult) -> VerificationReport:
         )
     sigma = result.sigma.bits
     spectral = _spectral_kernel(wv, TRANSFER_TIME)
-    product = _product_kernel(wv, TRANSFER_TIME)
+    product = _quarter_turn_kernel(wv)
     route_delta = float(np.abs(spectral - product).max())
 
     outside = np.ones(wv.n, dtype=bool)

@@ -231,6 +231,19 @@ def test_verify_json_large_weights_true_claim_passes(capsys, seed):
     assert min(c["fidelity_series"] for c in data["checks"]) >= 1 - 1e-9
 
 
+def test_verify_true_claim_with_weights_near_1e8_passes(capsys):
+    # A float product formula drifted 1.9e-8 from the spectral kernel here,
+    # past the 1e-8 route agreement, and the claim failed.
+    weights = (
+        "27392338,2227296,-46042658,-38434116,-91805296,-84951972,-96694473,"
+        "-64946542,62654048,29883150,82551116,725394,21327155,94148568,45899312,26454160"
+    )
+    code, out, err = invoke(capsys, "verify", "--weights", weights)
+    assert code == 0, err
+    assert "route agreement: max |spectral - series| = 0.000e+00" in out
+    assert out.splitlines()[-1].startswith("verification: PASS")
+
+
 def test_verify_periodic_row(capsys):
     code, out, _ = invoke(capsys, "verify", "--weights", "0,2,3,4,5,6,5,4")
     assert code == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cubelike.eigenbasis_builder as eigenbasis_builder
 from cubelike.eigenbasis_builder import (
     IndexSet,
     OrthogonalBasis,
@@ -251,6 +252,35 @@ def test_reconstruct_rejects_wrong_length():
     iset = select_index_set(basis)
     with pytest.raises(DimensionMismatchError):
         reconstruct(basis, iset, [1.0, 2.0])
+
+
+def test_reconstruct_walsh_path_builds_no_q(monkeypatch):
+    # Q = mu * P on the constant-row path; the n x n product was built only
+    # to be returned.
+    def refuse(*args, **kwargs):
+        raise AssertionError("reconstruct built Q on the constant-row path")
+
+    monkeypatch.setattr(eigenbasis_builder, "build_q", refuse)
+    z = np.random.default_rng(59).integers(-20, 21, size=32)
+    basis = walsh_basis(5)
+    result = reconstruct(basis, select_index_set(basis), z.astype(float))
+    assert np.abs(result.x - fwht(z)).max() <= 1e-9
+    assert np.abs(result.a - adjacency_from_weights(z)).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    ("rows", "cols"),
+    [
+        pytest.param([0, 0], [0, 1], id="too-few-pairs"),
+        pytest.param([0, 0, 0, 0], [0, 1, 2, 4], id="column-out-of-range"),
+        pytest.param([4, 4, 4, 4], [0, 1, 2, 3], id="row-out-of-range"),
+    ],
+)
+def test_reconstruct_walsh_path_checks_the_index_set(rows, cols):
+    basis = walsh_basis(2)
+    iset = IndexSet(np.array(rows), np.array(cols), constant_row_value=0.5)
+    with pytest.raises(DimensionMismatchError):
+        reconstruct(basis, iset, [1.0] * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,38 @@ def test_pst_result_rejects_bad_pairs(pairs):
         )
 
 
+@pytest.mark.parametrize(
+    ("sigma", "pairs"),
+    [
+        pytest.param(GroupElement(3, 2), np.array([[0.5, 3.9], [1.2, 2.7]]), id="float"),
+        pytest.param(GroupElement(3, 2), np.array([[0.0, 3.0], [1.0, 2.0]]), id="integer-valued-float"),
+        pytest.param(GroupElement(1, 1), np.array([[False, True]]), id="bool"),
+        pytest.param(GroupElement(3, 2), np.array([["0", "3"], ["1", "2"]]), id="str"),
+        pytest.param(GroupElement(3, 2), np.array([[0, 3], [1, 2]], dtype=object), id="object"),
+    ],
+)
+def test_pst_result_rejects_non_integer_pairs(sigma, pairs):
+    # A cast to int64 used to accept each of these as a valid partition,
+    # [[0, 3], [1, 2]] or [[0, 1]], without a complaint.
+    with pytest.raises(ConsistencyError, match="integers"):
+        PstResult(sigma, TransferKind.PERFECT_STATE_TRANSFER, pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param([[0, 3], [1, 2]], id="python-ints"),
+        pytest.param(np.array([[0, 3], [1, 2]], dtype=np.int32), id="int32"),
+        pytest.param(np.array([[0, 3], [1, 2]], dtype=np.uint8), id="uint8"),
+    ],
+)
+def test_pst_result_accepts_integer_pairs(pairs):
+    result = PstResult(GroupElement(3, 2), TransferKind.PERFECT_STATE_TRANSFER, pairs)
+    assert result.pairs.dtype == np.int64
+    assert result.pairs.tolist() == [[0, 3], [1, 2]]
+
+
+
 def test_pst_result_rejects_duplicates_at_d10():
     sigma = 0b1000000001
     lower = np.array([u for u in range(1024) if u < u ^ sigma])

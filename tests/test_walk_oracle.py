@@ -16,7 +16,7 @@ from cubelike.fixtures import REFERENCE_TABLE
 from cubelike.pst_analyzer import PstResult, TransferKind, classify
 from cubelike.spectral_engine import adjacency_from_weights, as_weight_vector
 from cubelike.walk_oracle import (
-    _product_kernel,
+    _quarter_turn_kernel,
     _spectral_kernel,
     fidelity,
     transition_spectral,
@@ -25,6 +25,28 @@ from cubelike.walk_oracle import (
 )
 
 C4 = [0, 1, 1, 0]
+INT64_MAX = np.iinfo(np.int64).max
+
+
+def product_kernel(wv, t):
+    """Kernel of U(t) = prod_h (cos(t z[h]) I + i sin(t z[h]) P_h), in float64.
+
+    P_h is the XOR shift (P_h g)[k] = g[k ^ h]. Starts from the identity's
+    kernel delta_0 and applies one factor per nonzero weight, O(n) each:
+    no transform, no eigenbasis, no truncation. The reference for t != pi/2.
+    """
+    angle = t * wv.values.astype(np.float64)
+    cos = np.cos(angle).tolist()
+    i_sin = (1j * np.sin(angle)).tolist()
+    idx = np.arange(wv.n)
+    g = np.zeros(wv.n, dtype=np.complex128)
+    g[0] = 1.0
+    for h in np.flatnonzero(wv.values).tolist():
+        shifted = g[idx ^ h]
+        shifted *= i_sin[h]
+        g *= cos[h]
+        g += shifted
+    return g
 
 
 def c4_expected_transfer():
@@ -159,12 +181,12 @@ def test_spectral_accuracy_bound_for_large_times():
             norm = float(np.abs(z).sum())
             t = float(scale / norm * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0]))
             wv = as_weight_vector(z)
-            delta = np.abs(_spectral_kernel(wv, t) - _product_kernel(wv, t)).max()
+            delta = np.abs(_spectral_kernel(wv, t) - product_kernel(wv, t)).max()
             assert delta <= abs(t) * norm * 2.0**-52
 
 
 # ---------------------------------------------------------------------------
-# _product_kernel
+# product_kernel (the float reference) and _quarter_turn_kernel
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("t", [math.pi / 2, 0.3, 1.7])
@@ -177,14 +199,45 @@ def test_product_kernel_matches_taylor_row(t):
         z = rng.integers(-100, 101, size=1 << d)
         rng.uniform(0, 2 * math.pi)  # that test's t; keeps the stream in step
         row = transition_taylor(adjacency_from_weights(z), t).matrix[0]
-        assert np.abs(_product_kernel(as_weight_vector(z), t) - row).max() <= 1e-8
+        assert np.abs(product_kernel(as_weight_vector(z), t) - row).max() <= 1e-8
 
 
 def test_product_kernel_matches_spectral_on_reference_rows():
     for case in REFERENCE_TABLE:
         wv = as_weight_vector(list(case.weights))
-        delta = np.abs(_product_kernel(wv, math.pi / 2) - _spectral_kernel(wv, math.pi / 2))
+        delta = np.abs(product_kernel(wv, math.pi / 2) - _spectral_kernel(wv, math.pi / 2))
         assert delta.max() <= 1e-12
+
+
+def quarter_turn_cases(d):
+    """Seeded weight vectors of length 2**d, from +-1 up to the int64 guard.
+
+    Each scale comes once with random weights (loop weight z[0] included)
+    and once all even but z[0], a periodic vector (sigma = 0) with an odd
+    loop weight. Above d = 10 only the guard scale runs, which keeps the
+    test fast.
+    """
+    rng = np.random.default_rng(1000 + d)
+    n = 1 << d
+    guard = INT64_MAX >> d
+    for limit in (1, 10**8, 10**12, guard) if d <= 10 else (guard,):
+        yield rng.integers(-limit, limit, n, endpoint=True)
+        even = 2 * rng.integers(-(limit // 2), limit // 2, n, endpoint=True)
+        even[0] = limit if limit % 2 else limit - 1
+        yield even
+
+
+@pytest.mark.parametrize("d", [*range(1, 11), 16, 20])
+def test_quarter_turn_kernel_equals_spectral_exactly(d):
+    # Both routes are exact at pi/2: phases in {1, i, -1, -i}, Gaussian-integer
+    # partial sums of size <= n, and an exact division by n.
+    for z in quarter_turn_cases(d):
+        wv = as_weight_vector(z)
+        exact = _quarter_turn_kernel(wv)
+        assert np.array_equal(exact, _spectral_kernel(wv, math.pi / 2))
+        sigma = int(np.bitwise_xor.reduce(np.flatnonzero(z % 2)))
+        assert exact[sigma] == 1j ** (sum(z.tolist()) % 4)
+        assert np.count_nonzero(exact) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +350,22 @@ def test_verify_passes_true_claim_with_large_weights(seed):
     assert min(c.fidelity_series for c in report.checks) >= 1 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "limit", [10**8, 10**12, INT64_MAX >> 8], ids=["1e8", "1e12", "guard"]
+)
+def test_verify_true_claims_with_huge_weights_are_exact(limit):
+    # A float product formula drifted 1.6e-8 to 1.9e-8 from the spectral
+    # kernel at +-1e8, past ROUTE_AGREEMENT, and lost the fidelity at 1e12.
+    for seed in range(5):
+        z = np.random.default_rng(seed).integers(-limit, limit, 256, endpoint=True)
+        report = verify_result(z, classify(z))
+        assert report.ok
+        assert report.route_delta == 0.0
+        for check in report.checks:
+            assert check.fidelity_spectral == check.fidelity_series == 1.0
+            assert check.leakage == 0.0
+
+
 def test_verify_builds_no_dense_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify_result built a dense matrix")
@@ -347,12 +416,12 @@ def test_verify_failure_message_is_one_summary_line_at_d10():
 
 
 def test_verify_failure_message_keeps_route_disagreement(monkeypatch):
-    product = walk_oracle._product_kernel
+    exact = walk_oracle._quarter_turn_kernel
 
-    def nudged(wv, t):
-        return product(wv, t) + 1e-7
+    def nudged(wv):
+        return exact(wv) + 1e-7
 
-    monkeypatch.setattr(walk_oracle, "_product_kernel", nudged)
+    monkeypatch.setattr(walk_oracle, "_quarter_turn_kernel", nudged)
     z = [0, 3, 1, 4, -6, 0, -1, 10]
     with pytest.raises(VerificationError) as excinfo:
         verify_result(z, classify(z))
